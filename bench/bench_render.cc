@@ -11,10 +11,17 @@
  *    pano-cache hit ratio and renders per frame).
  * Each world also records a per-stage panorama breakdown (direction
  * gen / raycast / terrain / shade / composite) from the batched
- * pipeline's stage timers.
+ * pipeline's stage timers, plus the terrain height evaluations per
+ * frame that explain the terrain stage.
+ *
+ * Every timed quantity is the minimum over `reps` repetitions (the
+ * least noise-inflated estimate of a deterministic workload), with
+ * the A/B arms interleaved within each repetition; its spread
+ * (max / min - 1) is recorded next to it, together with
+ * hardware_concurrency and the pool size the frames ran on.
  *
  * Flags:
- *   --smoke   tiny resolutions / single rep (CI perf-smoke job)
+ *   --smoke   tiny resolutions (CI perf-smoke job)
  *   --check   exit non-zero if a tracked ratio regresses or the
  *             batched and seed frames differ
  *   --stages  re-run the stage breakdown with full reps and print a
@@ -23,10 +30,13 @@
  * Writes results/BENCH_render.json (and ./BENCH_render.json).
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.hh"
@@ -52,53 +62,71 @@ seconds(const std::function<void()> &fn)
         .count();
 }
 
-struct AbTimes
+/** Min-of-reps wall time of one repeated workload, with its spread. */
+struct RepTime
 {
-    double panoMs = 0.0; ///< per panorama frame
-    double perspMs = 0.0; ///< per perspective frame
-    double panoRaysPerSec = 0.0;
+    double minS = std::numeric_limits<double>::infinity();
+    double maxS = 0.0;
+
+    void
+    add(double s)
+    {
+        minS = std::min(minS, s);
+        maxS = std::max(maxS, s);
+    }
+    /** max / min - 1 across the repetitions. */
+    double spread() const { return maxS / minS - 1.0; }
 };
 
-/** Time panorama + perspective frames with the world's current BVH
- *  through the given render path. */
-AbTimes
-timeRenders(const world::VirtualWorld &world, int panoW, int panoH,
-            int perspW, int perspH, int reps, render::RenderPath path)
+/** One A/B arm: a world (and so its BVH build) through a render path. */
+struct RenderArm
 {
-    const render::Renderer renderer(world);
-    const geom::Vec2 center = world.bounds().center();
-    const geom::Vec3 eye = world.eyePosition(center);
-    render::Camera camera;
-    camera.position = eye;
-    render::RenderOptions opts;
-    opts.path = path;
+    const world::VirtualWorld *world;
+    render::RenderPath path;
+};
 
-    // Warm the pool and touch the tree once before timing.
-    volatile std::uint8_t sink =
-        renderer.renderPanorama(eye, 64, 32, opts).pixels()[0].r;
-    (void)sink;
+struct AbTimes
+{
+    RepTime pano;  ///< one panorama frame
+    RepTime persp; ///< one perspective frame
+};
 
-    AbTimes out;
-    const double pano_s = seconds([&] {
-        for (int i = 0; i < reps; ++i) {
-            const auto frame =
-                renderer.renderPanorama(eye, panoW, panoH, opts);
-            if (frame.empty())
-                std::abort(); // keep the optimizer honest
+/**
+ * Time panorama + perspective frames through every arm. Each
+ * repetition renders one frame of each arm in turn, so a slow spell
+ * on a shared machine lands on all arms alike instead of skewing the
+ * ratios between them.
+ */
+std::vector<AbTimes>
+timeRenders(const std::vector<RenderArm> &arms, int panoW, int panoH,
+            int perspW, int perspH, int reps)
+{
+    std::vector<AbTimes> out(arms.size());
+    for (int r = -1; r < reps; ++r) { // r == -1: untimed warm-up
+        for (std::size_t a = 0; a < arms.size(); ++a) {
+            const world::VirtualWorld &world = *arms[a].world;
+            const render::Renderer renderer(world);
+            const geom::Vec3 eye =
+                world.eyePosition(world.bounds().center());
+            render::Camera camera;
+            camera.position = eye;
+            render::RenderOptions opts;
+            opts.path = arms[a].path;
+            const double pano_s = seconds([&] {
+                if (renderer.renderPanorama(eye, panoW, panoH, opts).empty())
+                    std::abort(); // keep the optimizer honest
+            });
+            const double persp_s = seconds([&] {
+                if (renderer.renderPerspective(camera, perspW, perspH, opts)
+                        .empty())
+                    std::abort();
+            });
+            if (r >= 0) {
+                out[a].pano.add(pano_s);
+                out[a].persp.add(persp_s);
+            }
         }
-    });
-    const double persp_s = seconds([&] {
-        for (int i = 0; i < reps; ++i) {
-            const auto frame =
-                renderer.renderPerspective(camera, perspW, perspH, opts);
-            if (frame.empty())
-                std::abort();
-        }
-    });
-    out.panoMs = pano_s * 1000.0 / reps;
-    out.perspMs = persp_s * 1000.0 / reps;
-    out.panoRaysPerSec =
-        static_cast<double>(panoW) * panoH * reps / pano_s;
+    }
     return out;
 }
 
@@ -115,9 +143,10 @@ constexpr int kStageCount = 5;
  * Per-stage panorama cost (ms/frame) via the batched pipeline's stage
  * timers: render @p reps frames with timers on, diff the registry
  * timer sums. The instrumentation is two clock reads per row per
- * stage — well under timing noise at bench resolutions.
+ * stage — well under timing noise at bench resolutions. Returns the
+ * terrain height evaluations per frame (`render.stage.terrain_evals`).
  */
-void
+double
 stageBreakdown(const world::VirtualWorld &world, int panoW, int panoH,
                int reps, double out[kStageCount])
 {
@@ -129,6 +158,8 @@ stageBreakdown(const world::VirtualWorld &world, int panoW, int panoH,
     double before[kStageCount];
     for (int i = 0; i < kStageCount; ++i)
         before[i] = registry.timer(kStageNames[i]).snapshot().stats.sum();
+    obs::Counter &evals = registry.counter("render.stage.terrain_evals");
+    const std::uint64_t evals_before = evals.value();
     for (int r = 0; r < reps; ++r) {
         const auto frame = renderer.renderPanorama(eye, panoW, panoH, opts);
         if (frame.empty())
@@ -138,6 +169,7 @@ stageBreakdown(const world::VirtualWorld &world, int panoW, int panoH,
         out[i] = (registry.timer(kStageNames[i]).snapshot().stats.sum() -
                   before[i]) /
                  reps;
+    return static_cast<double>(evals.value() - evals_before) / reps;
 }
 
 /**
@@ -171,28 +203,27 @@ pathsAgree(const world::VirtualWorld &world)
  * terrain, serial): isolates the hot path the overhaul targets. With
  * @p seedBaseline the rays go through the preserved pre-overhaul
  * traversal — Median build + seedBaseline reproduces the seed renderer.
+ * Returns the wall seconds of one pass.
  */
 double
 raycastSeconds(const world::VirtualWorld &world, geom::Vec3 eye, int w,
-               int h, int reps, bool seedBaseline)
+               int h, bool seedBaseline)
 {
     const world::Bvh &bvh = world.bvh();
     double sink = 0.0;
     const double s = seconds([&] {
-        for (int r = 0; r < reps; ++r) {
-            for (int y = 0; y < h; ++y) {
-                const double v = (y + 0.5) / h;
-                for (int x = 0; x < w; ++x) {
-                    const double u = (x + 0.5) / w;
-                    geom::Ray ray;
-                    ray.origin = eye;
-                    ray.dir = render::panoramaDirection(u, v);
-                    const geom::Hit hit =
-                        seedBaseline ? bvh.closestHitSeedBaseline(ray)
-                                     : bvh.closestHit(ray);
-                    if (hit.valid())
-                        sink += hit.t;
-                }
+        for (int y = 0; y < h; ++y) {
+            const double v = (y + 0.5) / h;
+            for (int x = 0; x < w; ++x) {
+                const double u = (x + 0.5) / w;
+                geom::Ray ray;
+                ray.origin = eye;
+                ray.dir = render::panoramaDirection(u, v);
+                const geom::Hit hit = seedBaseline
+                                          ? bvh.closestHitSeedBaseline(ray)
+                                          : bvh.closestHit(ray);
+                if (hit.valid())
+                    sink += hit.t;
             }
         }
     });
@@ -289,7 +320,9 @@ main(int argc, char **argv)
     const int pano_h = smoke ? 80 : 256;
     const int persp_w = smoke ? 128 : 320;
     const int persp_h = smoke ? 96 : 240;
-    const int reps = smoke ? 1 : 3;
+    // Smoke frames are ~10x cheaper, so smoke runs more repetitions:
+    // with one, the gated smoke ratios flapped run to run.
+    const int reps = smoke ? 9 : 5;
 
     const struct
     {
@@ -311,90 +344,119 @@ main(int argc, char **argv)
         std::printf("\n  %s (%zu objects)\n", game.name,
                     world.objects().size());
 
+        // The seed-equivalent tree (median build) beside the production
+        // SAH tree, so the A/B arms can interleave. Frames are
+        // byte-identical across paths and trees (checked below); only
+        // time moves.
+        world::VirtualWorld median_world = world::gen::makeWorld(game.id, 42);
+        median_world.rebuildIndex(world::BvhBuildPolicy::Median);
+        const std::vector<AbTimes> times = timeRenders(
+            {{&median_world, render::RenderPath::Batched},
+             {&world, render::RenderPath::SeedScalar},
+             {&world, render::RenderPath::Scalar},
+             {&world, render::RenderPath::Batched}},
+            pano_w, pano_h, persp_w, persp_h, reps);
+        const AbTimes &median = times[0];
+        const AbTimes &seed_path = times[1];
+        const AbTimes &scalar_path = times[2];
+        const AbTimes &sah = times[3];
+        // Raycast-only A/B: seed traversal on the median tree vs the
+        // ordered traversal on the SAH tree, interleaved per rep.
         const geom::Vec3 eye = world.eyePosition(world.bounds().center());
-        world.rebuildIndex(world::BvhBuildPolicy::Median);
-        const AbTimes median =
-            timeRenders(world, pano_w, pano_h, persp_w, persp_h, reps,
-                        render::RenderPath::Batched);
-        // Seed-equivalent hot path: median tree + pre-overhaul traversal.
-        const double seed_ray_s = raycastSeconds(world, eye, pano_w,
-                                                 pano_h, reps, true);
-        world.rebuildIndex(world::BvhBuildPolicy::BinnedSah);
-        // Path A/B on the production SAH tree: the frames are
-        // byte-identical across paths (checked below), only time moves.
-        const AbTimes seed_path =
-            timeRenders(world, pano_w, pano_h, persp_w, persp_h, reps,
-                        render::RenderPath::SeedScalar);
-        const AbTimes scalar_path =
-            timeRenders(world, pano_w, pano_h, persp_w, persp_h, reps,
-                        render::RenderPath::Scalar);
-        const AbTimes sah =
-            timeRenders(world, pano_w, pano_h, persp_w, persp_h, reps,
-                        render::RenderPath::Batched);
-        const double new_ray_s = raycastSeconds(world, eye, pano_w,
-                                                pano_h, reps, false);
+        RepTime seed_ray, new_ray;
+        for (int r = 0; r < reps; ++r) {
+            seed_ray.add(
+                raycastSeconds(median_world, eye, pano_w, pano_h, true));
+            new_ray.add(raycastSeconds(world, eye, pano_w, pano_h, false));
+        }
+        const double seed_ray_s = seed_ray.minS;
+        const double new_ray_s = new_ray.minS;
         const double ray_speedup = seed_ray_s / new_ray_s;
-        const double pano_speedup_vs_seed = seed_path.panoMs / sah.panoMs;
+        const double pano_ms_median = median.pano.minS * 1000.0;
+        const double pano_ms_seed = seed_path.pano.minS * 1000.0;
+        const double pano_ms_scalar = scalar_path.pano.minS * 1000.0;
+        const double pano_ms_sah = sah.pano.minS * 1000.0;
+        const double persp_ms_median = median.persp.minS * 1000.0;
+        const double persp_ms_seed = seed_path.persp.minS * 1000.0;
+        const double persp_ms_sah = sah.persp.minS * 1000.0;
+        const double pano_rays = static_cast<double>(pano_w) * pano_h;
+        const double pano_speedup_vs_seed = pano_ms_seed / pano_ms_sah;
         double stage_ms[kStageCount];
-        stageBreakdown(world, pano_w, pano_h, stages_mode ? reps : 1,
-                       stage_ms);
+        const double terrain_evals = stageBreakdown(
+            world, pano_w, pano_h, stages_mode ? reps : 1, stage_ms);
         const bool agree = pathsAgree(world);
         parity_ok = parity_ok && agree;
 
         std::printf("    pano   %7.2f ms (seed)  %7.2f ms (scalar)  "
                     "%7.2f ms (packet)  %.2fx vs seed\n",
-                    seed_path.panoMs, scalar_path.panoMs, sah.panoMs,
+                    pano_ms_seed, pano_ms_scalar, pano_ms_sah,
                     pano_speedup_vs_seed);
         std::printf("    persp  %7.2f ms (seed)  %7.2f ms (packet)  "
                     "%.2fx vs seed\n",
-                    seed_path.perspMs, sah.perspMs,
-                    seed_path.perspMs / sah.perspMs);
+                    persp_ms_seed, persp_ms_sah, persp_ms_seed / persp_ms_sah);
         std::printf("    pano   %7.2f ms (median tree)  %7.2f ms (sah)  "
                     "%.2fx,  rays/s %.2fM\n",
-                    median.panoMs, sah.panoMs, median.panoMs / sah.panoMs,
-                    sah.panoRaysPerSec / 1e6);
+                    pano_ms_median, pano_ms_sah,
+                    pano_ms_median / pano_ms_sah,
+                    pano_rays / sah.pano.minS / 1e6);
         std::printf("    pano raycast vs seed traversal: %7.2f ms -> "
                     "%7.2f ms  %.2fx\n",
-                    seed_ray_s * 1000.0 / reps, new_ray_s * 1000.0 / reps,
-                    ray_speedup);
+                    seed_ray_s * 1000.0, new_ray_s * 1000.0, ray_speedup);
         std::printf("    stages ");
         for (int i = 0; i < kStageCount; ++i)
             std::printf(" %s %.1f ms%s", kStageLabels[i], stage_ms[i],
                         i + 1 < kStageCount ? "," : "\n");
+        std::printf("    terrain height evaluations: %.0f per frame "
+                    "(%.2f per pixel)\n",
+                    terrain_evals,
+                    terrain_evals / (static_cast<double>(pano_w) * pano_h));
         std::printf("    frames: packet %s seed\n",
                     agree ? "==" : "DIFFER FROM");
 
         obs::Json w = obs::Json::object();
         w.set("objects", obs::Json(static_cast<std::uint64_t>(
                              world.objects().size())));
-        w.set("pano_ms_median", obs::Json(median.panoMs));
-        w.set("pano_ms_sah", obs::Json(sah.panoMs));
-        w.set("pano_speedup", obs::Json(median.panoMs / sah.panoMs));
-        w.set("pano_ms_seed", obs::Json(seed_path.panoMs));
-        w.set("pano_ms_scalar", obs::Json(scalar_path.panoMs));
-        w.set("pano_ms_packet", obs::Json(sah.panoMs));
+        w.set("pano_ms_median", obs::Json(pano_ms_median));
+        w.set("pano_ms_sah", obs::Json(pano_ms_sah));
+        w.set("pano_speedup", obs::Json(pano_ms_median / pano_ms_sah));
+        w.set("pano_ms_seed", obs::Json(pano_ms_seed));
+        w.set("pano_ms_scalar", obs::Json(pano_ms_scalar));
+        w.set("pano_ms_packet", obs::Json(pano_ms_sah));
         w.set("pano_speedup_vs_seed", obs::Json(pano_speedup_vs_seed));
-        w.set("persp_ms_median", obs::Json(median.perspMs));
-        w.set("persp_ms_sah", obs::Json(sah.perspMs));
-        w.set("persp_ms_seed", obs::Json(seed_path.perspMs));
-        w.set("persp_speedup", obs::Json(median.perspMs / sah.perspMs));
+        w.set("persp_ms_median", obs::Json(persp_ms_median));
+        w.set("persp_ms_sah", obs::Json(persp_ms_sah));
+        w.set("persp_ms_seed", obs::Json(persp_ms_seed));
+        w.set("persp_speedup", obs::Json(persp_ms_median / persp_ms_sah));
         w.set("persp_speedup_vs_seed",
-              obs::Json(seed_path.perspMs / sah.perspMs));
-        w.set("pano_rays_per_s_median", obs::Json(median.panoRaysPerSec));
-        w.set("pano_rays_per_s_sah", obs::Json(sah.panoRaysPerSec));
-        w.set("pano_raycast_ms_seed",
-              obs::Json(seed_ray_s * 1000.0 / reps));
-        w.set("pano_raycast_ms_new", obs::Json(new_ray_s * 1000.0 / reps));
+              obs::Json(persp_ms_seed / persp_ms_sah));
+        w.set("pano_rays_per_s_median",
+              obs::Json(pano_rays / median.pano.minS));
+        w.set("pano_rays_per_s_sah", obs::Json(pano_rays / sah.pano.minS));
+        w.set("pano_raycast_ms_seed", obs::Json(seed_ray_s * 1000.0));
+        w.set("pano_raycast_ms_new", obs::Json(new_ray_s * 1000.0));
         w.set("pano_raycast_speedup_vs_seed", obs::Json(ray_speedup));
         obs::Json stages = obs::Json::object();
         for (int i = 0; i < kStageCount; ++i)
             stages.set(kStageLabels[i], obs::Json(stage_ms[i]));
         w.set("pano_stage_ms", std::move(stages));
+        w.set("pano_terrain_evals_per_frame", obs::Json(terrain_evals));
+        // Relative spread (max / min - 1) of every min-of-reps time.
+        obs::Json spread = obs::Json::object();
+        spread.set("pano_median", obs::Json(median.pano.spread()));
+        spread.set("pano_seed", obs::Json(seed_path.pano.spread()));
+        spread.set("pano_scalar", obs::Json(scalar_path.pano.spread()));
+        spread.set("pano_packet", obs::Json(sah.pano.spread()));
+        spread.set("persp_median", obs::Json(median.persp.spread()));
+        spread.set("persp_seed", obs::Json(seed_path.persp.spread()));
+        spread.set("persp_packet", obs::Json(sah.persp.spread()));
+        spread.set("raycast_seed", obs::Json(seed_ray.spread()));
+        spread.set("raycast_new", obs::Json(new_ray.spread()));
+        w.set("spread", std::move(spread));
         w.set("packet_matches_seed", obs::Json(agree));
         worlds.set(game.name, std::move(w));
-        total_median_ms += median.panoMs;
-        total_sah_ms += sah.panoMs;
-        total_seed_ms += seed_path.panoMs;
+        total_median_ms += pano_ms_median;
+        total_sah_ms += pano_ms_sah;
+        total_seed_ms += pano_ms_seed;
         total_seed_ray_s += seed_ray_s;
         total_new_ray_s += new_ray_s;
     }
@@ -409,6 +471,13 @@ main(int argc, char **argv)
     doc.set("pano_w", obs::Json(static_cast<std::uint64_t>(pano_w)));
     doc.set("pano_h", obs::Json(static_cast<std::uint64_t>(pano_h)));
     doc.set("reps", obs::Json(static_cast<std::uint64_t>(reps)));
+    doc.set("timing", obs::Json("min of reps; spread = max / min - 1"));
+    doc.set("hardware_concurrency",
+            obs::Json(static_cast<std::uint64_t>(
+                std::thread::hardware_concurrency())));
+    doc.set("pool_threads",
+            obs::Json(static_cast<std::uint64_t>(
+                support::ThreadPool::instance().concurrency())));
     doc.set("worlds", std::move(worlds));
     doc.set("pano_cache", std::move(cache));
     doc.set("total_pano_ms_median", obs::Json(total_median_ms));

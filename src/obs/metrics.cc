@@ -153,10 +153,13 @@ MetricsRegistry::snapshotJson() const
         t.set("stddev", Json(snap.stats.stddev()));
         t.set("sum", Json(snap.stats.sum()));
         // The histogram stores log10(value); undo the transform so
-        // percentiles come out in the timer's own unit.
+        // percentiles come out in the timer's own unit. Interpolation
+        // inside a log bin can land past the observed extremes, so
+        // clamp to [min, max]: a quantile never leaves the sample range.
         const auto pct = [&snap](double q) {
             return snap.stats.count() > 0
-                       ? std::pow(10.0, snap.hist.quantile(q))
+                       ? std::clamp(std::pow(10.0, snap.hist.quantile(q)),
+                                    snap.stats.min(), snap.stats.max())
                        : 0.0;
         };
         t.set("p50", Json(pct(0.50)));

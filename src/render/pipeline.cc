@@ -151,6 +151,8 @@ terrainRow(const world::VirtualWorld &world, Vec3 origin,
         return;
     }
     const world::Terrain &terrain = world.terrain();
+    std::uint64_t evals = 0;
+    std::uint64_t *const count = opts.stageTimers ? &evals : nullptr;
     for (int x = 0; x < width; ++x) {
         const auto i = static_cast<std::size_t>(x);
         Ray clipped;
@@ -165,12 +167,13 @@ terrainRow(const world::VirtualWorld &world, Vec3 origin,
         const double abortBeyond = obj.valid() ? obj.t : inf;
         double terrain_t = inf;
         if (auto t = terrain.intersect(clipped, opts.terrainMaxDist,
-                                       abortBeyond)) {
+                                       abortBeyond, count)) {
             if (*t >= clipped.tMin && *t <= clipped.tMax)
                 terrain_t = *t;
         }
         rows.terrainT[i] = terrain_t;
     }
+    rows.terrainEvals += evals;
 }
 
 void

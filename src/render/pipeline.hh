@@ -9,8 +9,9 @@
  *      unit directions written SoA;
  *   2. object raycast — 4-wide ray packets through the BVH
  *      (`Bvh::closestHitPacket`);
- *   3. terrain resolution — the SIMD march, aborted past the pixel's
- *      object hit (provably result-identical, see Terrain::intersect);
+ *   3. terrain resolution — the slope-bounded march, aborted past the
+ *      pixel's object hit (provably result-identical, see
+ *      Terrain::intersect);
  *   4. shading — hit resolution, then the `opts.shading` /
  *      `opts.texture` passes with those branches hoisted out of the
  *      pixel loop, then compositing (clip key / sky).
@@ -57,6 +58,8 @@ struct RowBuffers
     std::vector<image::Rgb> base;
     std::vector<double> light;
     std::vector<geom::Vec3> point; ///< terrain hit point (valid for Terrain)
+    /** Terrain height evaluations of the chunk's rows (stage timers on). */
+    std::uint64_t terrainEvals = 0;
 
     void resize(int width);
 };
@@ -72,7 +75,11 @@ void perspectiveRowDirs(const Camera &camera, double aspect, int y,
 void raycastRow(const world::VirtualWorld &world, geom::Vec3 origin,
                 const RenderOptions &opts, int width, RowBuffers &rows);
 
-/** Stage 3: terrain march per pixel, capped at the object hit. */
+/**
+ * Stage 3: terrain march per pixel, capped at the object hit. With
+ * `opts.stageTimers` on, adds the row's terrain height evaluations to
+ * `rows.terrainEvals`.
+ */
 void terrainRow(const world::VirtualWorld &world, geom::Vec3 origin,
                 const RenderOptions &opts, int width, RowBuffers &rows);
 
@@ -101,8 +108,10 @@ double textureFactor(geom::Vec3 point, double hitDist,
 
 /**
  * Optional per-stage wall-clock attribution (`render.stage.*_ms`
- * metrics registry timers), enabled by RenderOptions::stageTimers;
- * zero work and zero branches-in-loop when disabled.
+ * metrics registry timers), enabled by RenderOptions::stageTimers,
+ * which also publishes the frame's terrain height evaluations once per
+ * frame as the `render.stage.terrain_evals` counter. Disabled, the
+ * timers do no work and add no branches inside loops.
  */
 struct StageTimers
 {

@@ -1,6 +1,7 @@
 #include "render/renderer.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 
 #include "obs/metrics.hh"
@@ -67,6 +68,7 @@ batchedFrame(const world::VirtualWorld &world, Vec3 origin,
              const RenderOptions &opts, int width, int height,
              Image &frame, DirFn &&dirFn)
 {
+    std::atomic<std::uint64_t> terrainEvals{0};
     support::parallelFor(
         0, height, 4,
         [&](std::int64_t b, std::int64_t e) {
@@ -94,12 +96,19 @@ batchedFrame(const world::VirtualWorld &world, Vec3 origin,
                                          &frame.at(0, y));
                 });
             }
+            if (opts.stageTimers)
+                terrainEvals.fetch_add(rows.terrainEvals,
+                                       std::memory_order_relaxed);
             const world::Bvh::TraversalStats stats =
                 world::Bvh::takeThreadStats();
             COTERIE_COUNT_N("bvh.nodes_visited", stats.nodesVisited);
             COTERIE_COUNT_N("bvh.leaf_tests", stats.leafTests);
         },
         opts.threads);
+    if (opts.stageTimers)
+        obs::MetricsRegistry::global()
+            .counter("render.stage.terrain_evals")
+            .add(terrainEvals.load(std::memory_order_relaxed));
 }
 
 void

@@ -54,13 +54,14 @@ enum class RenderPath
 {
     /**
      * Row-batched SoA pipeline (default): per-row direction basis,
-     * 4-wide BVH ray packets, SIMD terrain march with object-hit
-     * abort, branch-hoisted shading stages.
+     * 4-wide BVH ray packets, slope-bounded terrain march with
+     * object-hit abort, branch-hoisted shading stages.
      */
     Batched,
     /**
-     * Per-pixel `shadeRay`, but with the SIMD terrain march and
-     * object-hit abort — isolates the batching win from the march win.
+     * Per-pixel `shadeRay`, but with the slope-bounded terrain march
+     * and object-hit abort — isolates the batching win from the march
+     * win.
      */
     Scalar,
     /**

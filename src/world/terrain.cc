@@ -4,16 +4,12 @@
 #include <cmath>
 
 #include "support/rng.hh"
-#include "support/simd.hh"
 
 namespace coterie::world {
 
 using geom::Ray;
 using geom::Vec2;
 using geom::Vec3;
-using support::simd::U64x4;
-
-Terrain::Terrain(const TerrainParams &params) : params_(params) {}
 
 namespace {
 
@@ -24,116 +20,39 @@ fade(double t)
     return t * t * t * (t * (t * 6.0 - 15.0) + 10.0);
 }
 
+/**
+ * Per-axis slope bound of the fractal heightfield (see
+ * Terrain::slopeBound): |A| * (15/8) * 2 * octaves /
+ * (featureScale * norm). Not finite or not positive for degenerate
+ * params (no octaves, zero or negative scale), which turns the
+ * march's sample skipping off.
+ */
 double
-latticeValue(std::int64_t ix, std::int64_t iy, std::uint64_t seed,
-             std::uint64_t salt)
+fractalSlopeBound(const TerrainParams &params)
 {
-    std::uint64_t h = hashCombine(seed ^ salt,
-                                  hashCombine(hashMix(ix), hashMix(iy)));
-    h = hashMix(h);
-    return (h >> 11) * 0x1.0p-53 * 2.0 - 1.0; // [-1, 1)
-}
-
-constexpr int kLanes = support::simd::kLanes;
-
-/**
- * The four lattice corner values for four sample cells at once — the
- * integer-hash core of `latticeValue`, lane-vectorized. Bit-exactness
- * vs the scalar path holds under every dispatch clone: the hashing is
- * exact integer arithmetic, the u64→double conversion is exact below
- * 2^53, and the final scale multiplies by powers of two (exact), so
- * even an FMA contraction of `x * 2.0 - 1.0` rounds once to the same
- * double. No other FP runs inside the cloned region.
- */
-COTERIE_SIMD_CLONES void
-latticeCorners4(const std::int64_t ix[kLanes], const std::int64_t iy[kLanes],
-                std::uint64_t seedSalt, double v00[kLanes],
-                double v10[kLanes], double v01[kLanes], double v11[kLanes])
-{
-    std::uint64_t ux[kLanes], ux1[kLanes], uy[kLanes], uy1[kLanes];
-    for (int l = 0; l < kLanes; ++l) {
-        ux[l] = static_cast<std::uint64_t>(ix[l]);
-        ux1[l] = static_cast<std::uint64_t>(ix[l] + 1);
-        uy[l] = static_cast<std::uint64_t>(iy[l]);
-        uy1[l] = static_cast<std::uint64_t>(iy[l] + 1);
-    }
-    using support::simd::hashCombine4;
-    using support::simd::hashMix4;
-    using support::simd::toDouble;
-    const U64x4 hx = hashMix4(U64x4::load(ux));
-    const U64x4 hx1 = hashMix4(U64x4::load(ux1));
-    const U64x4 hy = hashMix4(U64x4::load(uy));
-    const U64x4 hy1 = hashMix4(U64x4::load(uy1));
-    const U64x4 ss = U64x4::splat(seedSalt);
-    const auto corner = [&](U64x4 cx, U64x4 cy, double out[kLanes]) {
-        const U64x4 h = hashMix4(hashCombine4(ss, hashCombine4(cx, cy)));
-        const support::simd::F64x4 val = toDouble(h >> 11);
-        for (int l = 0; l < kLanes; ++l)
-            out[l] = val[l] * 0x1.0p-53 * 2.0 - 1.0; // [-1, 1)
-    };
-    corner(hx, hy, v00);
-    corner(hx1, hy, v10);
-    corner(hx, hy1, v01);
-    corner(hx1, hy1, v11);
+    if (params.flat)
+        return 0.0;
+    const double norm = 2.0 - std::exp2(1.0 - params.octaves);
+    return std::abs(params.amplitude) * (15.0 / 8.0) * 2.0 *
+           params.octaves / (params.featureScale * norm);
 }
 
 /**
- * `noise2` over four sample points sharing one salt. The scalar FP
- * glue (floor, fade, lerp) is the exact expression sequence of the
- * scalar `noise2`, per lane; only the corner hashing is lane-wide.
+ * Floating-point slack of the march's skip bound, as a multiple of
+ * (1 + slope) * reach + |amplitude| (reach: the largest coordinate the
+ * march can touch). The error budget of DESIGN.md §10 — Ray::at, the
+ * noise argument scaling, the fade and lerp arithmetic of heightAt,
+ * the margin subtraction, and the skip distance itself — stays below
+ * 2^12 units of roundoff (2^-53) of that; 2^-40 is 2^13 units.
  */
-void
-noise2x4(const TerrainParams &params, const double x[kLanes],
-         const double y[kLanes], std::uint64_t salt, double out[kLanes])
-{
-    double fx[kLanes], fy[kLanes];
-    std::int64_t ix[kLanes], iy[kLanes];
-    for (int l = 0; l < kLanes; ++l) {
-        fx[l] = std::floor(x[l]);
-        fy[l] = std::floor(y[l]);
-        ix[l] = static_cast<std::int64_t>(fx[l]);
-        iy[l] = static_cast<std::int64_t>(fy[l]);
-    }
-    double v00[kLanes], v10[kLanes], v01[kLanes], v11[kLanes];
-    latticeCorners4(ix, iy, params.seed ^ salt, v00, v10, v01, v11);
-    for (int l = 0; l < kLanes; ++l) {
-        const double tx = fade(x[l] - fx[l]);
-        const double ty = fade(y[l] - fy[l]);
-        const double a = v00[l] + (v10[l] - v00[l]) * tx;
-        const double b = v01[l] + (v11[l] - v01[l]) * tx;
-        out[l] = a + (b - a) * ty;
-    }
-}
-
-/** `fractal` (and the amplitude scale of `heightAt`) over four ground
- *  points — per-lane op-for-op identical to the scalar octave loop. */
-void
-heightAt4(const TerrainParams &params, const double px[kLanes],
-          const double pz[kLanes], double out[kLanes])
-{
-    double amp = 1.0;
-    double freq = 1.0 / params.featureScale;
-    double sum[kLanes] = {};
-    double norm = 0.0;
-    for (int o = 0; o < params.octaves; ++o) {
-        double xs[kLanes], ys[kLanes], n[kLanes];
-        for (int l = 0; l < kLanes; ++l) {
-            xs[l] = px[l] * freq;
-            ys[l] = pz[l] * freq;
-        }
-        noise2x4(params, xs, ys, 0x5eedULL + static_cast<std::uint64_t>(o),
-                 n);
-        for (int l = 0; l < kLanes; ++l)
-            sum[l] += amp * n[l];
-        norm += amp;
-        amp *= 0.5;
-        freq *= 2.0;
-    }
-    for (int l = 0; l < kLanes; ++l)
-        out[l] = params.amplitude * (norm > 0.0 ? sum[l] / norm : 0.0);
-}
+constexpr double kSlackScale = 0x1.0p-40;
 
 } // namespace
+
+Terrain::Terrain(const TerrainParams &params)
+    : params_(params), slopeBound_(fractalSlopeBound(params))
+{
+}
 
 double
 Terrain::noise2(double x, double y, std::uint64_t salt) const
@@ -144,10 +63,20 @@ Terrain::noise2(double x, double y, std::uint64_t salt) const
     const auto iy = static_cast<std::int64_t>(fy);
     const double tx = fade(x - fx);
     const double ty = fade(y - fy);
-    const double v00 = latticeValue(ix, iy, params_.seed, salt);
-    const double v10 = latticeValue(ix + 1, iy, params_.seed, salt);
-    const double v01 = latticeValue(ix, iy + 1, params_.seed, salt);
-    const double v11 = latticeValue(ix + 1, iy + 1, params_.seed, salt);
+    // Lattice value in [-1, 1) of a corner. Each axis coordinate is
+    // mixed once and shared by its two corners.
+    const std::uint64_t seedSalt = params_.seed ^ salt;
+    const auto lattice = [seedSalt](std::uint64_t mixX, std::uint64_t mixY) {
+        const std::uint64_t h =
+            hashMix(hashCombine(seedSalt, hashCombine(mixX, mixY)));
+        return (h >> 11) * 0x1.0p-53 * 2.0 - 1.0;
+    };
+    const std::uint64_t mx0 = hashMix(ix), mx1 = hashMix(ix + 1);
+    const std::uint64_t my0 = hashMix(iy), my1 = hashMix(iy + 1);
+    const double v00 = lattice(mx0, my0);
+    const double v10 = lattice(mx1, my0);
+    const double v01 = lattice(mx0, my1);
+    const double v11 = lattice(mx1, my1);
     const double a = v00 + (v10 - v00) * tx;
     const double b = v01 + (v11 - v01) * tx;
     return a + (b - a) * ty;
@@ -192,7 +121,19 @@ Terrain::normalAt(Vec2 p) const
 }
 
 std::optional<double>
-Terrain::intersect(const Ray &ray, double maxDist, double abortBeyond) const
+Terrain::intersect(const Ray &ray, double maxDist, double abortBeyond,
+                   std::uint64_t *heightEvals) const
+{
+    std::uint64_t evals = 0;
+    const std::optional<double> t = march(ray, maxDist, abortBeyond, evals);
+    if (heightEvals)
+        *heightEvals += evals;
+    return t;
+}
+
+std::optional<double>
+Terrain::march(const Ray &ray, double maxDist, double abortBeyond,
+               std::uint64_t &evals) const
 {
     if (params_.flat) {
         // Plane y = 0: exact solve, nothing to march or abort.
@@ -203,114 +144,85 @@ Terrain::intersect(const Ray &ray, double maxDist, double abortBeyond) const
             return std::nullopt;
         return t;
     }
-    // Adaptive march (step grows with distance — angular error budget),
-    // then bisection refinement; same schedule and brackets as
-    // intersectReference, evaluated four schedule points per heightAt4
-    // batch. A ray whose clipped start is already below the surface is
-    // treated as clipped out (no hit), matching depth-interval clipping
-    // semantics in the renderer.
-    double t_prev = ray.tMin;
-    const double h_start = ray.origin.y + t_prev * ray.dir.y -
-                           heightAt(ray.at(t_prev).ground());
-    if (h_start <= 0.0)
-        return std::nullopt;
+    const auto margin = [&](const Vec3 &p) {
+        ++evals;
+        return p.y - heightAt(p.ground());
+    };
+
     const double limit = std::min(ray.tMax, maxDist);
+    const double amp = std::abs(params_.amplitude);
+    // Skip bound (see intersect's doc comment and DESIGN.md §10): the
+    // margin falls at most `rate` per unit t, give or take `slack`.
+    const double rate =
+        slopeBound_ * (std::abs(ray.dir.x) + std::abs(ray.dir.z)) -
+        ray.dir.y;
+    const double reach =
+        std::max({std::abs(ray.origin.x), std::abs(ray.origin.y),
+                  std::abs(ray.origin.z)}) +
+        std::max({std::abs(ray.dir.x), std::abs(ray.dir.y),
+                  std::abs(ray.dir.z)}) *
+            limit;
+    const double slack =
+        kSlackScale * ((1.0 + slopeBound_) * reach + amp);
+    const bool bounded = slopeBound_ > 0.0 && std::isfinite(slopeBound_) &&
+                         std::isfinite(slack);
+
     // Early-escape threshold for climbing rays. The fractal is a
     // normalized average of [-1, 1) noise, so |height| < |amplitude|
     // everywhere: above |amplitude| a non-descending ray can never
     // cross, making escape at |amplitude| result-identical to marching
     // on. The min() with the reference loop's amplitude + 0.5 keeps the
     // escape no later than the reference's for any params.
-    const double escape =
-        std::min(params_.amplitude + 0.5, std::abs(params_.amplitude));
+    const double escape = std::min(params_.amplitude + 0.5, amp);
     const bool climbing = ray.dir.y >= 0.0;
-    const auto bisect = [&](double lo, double hi) {
-        for (int i = 0; i < 16; ++i) {
-            const double mid = 0.5 * (lo + hi);
-            const Vec3 mp = ray.at(mid);
-            if (mp.y - heightAt(mp.ground()) <= 0.0)
-                hi = mid;
-            else
-                lo = mid;
-        }
-        return hi;
-    };
+
+    // A ray whose clipped start is below the surface is treated as
+    // clipped out (no hit), matching depth-interval clipping semantics
+    // in the renderer. Both bounds on the start need no evaluation: a
+    // start below -|amplitude| is below any surface, and a climbing ray
+    // starting above the escape height escapes at its first sample.
+    double t_prev = ray.tMin;
+    const Vec3 start = ray.at(t_prev);
+    if (start.y < -amp - slack || (climbing && start.y > escape))
+        return std::nullopt;
+    const double h_start = margin(start);
+    if (h_start <= 0.0)
+        return std::nullopt;
+    if (bounded && rate <= 0.0 && h_start > slack)
+        return std::nullopt; // the margin can never fall to zero
+    const bool skipping = bounded && rate > 0.0;
+    // Schedule points at or before skip_to cannot be a crossing.
+    double skip_to = skipping ? t_prev + (h_start - slack) / rate : t_prev;
+
     double t = t_prev;
-    // Scalar prologue: rays from a low eye looking down cross within
-    // the first few samples, and a 4-wide batch would pay for four
-    // height evaluations where one suffices. The schedule is a pure
-    // function of t, so peeling samples off the front changes nothing
-    // but the batching.
-    for (int k = 0; k < kLanes && t < limit; ++k) {
+    while (t < limit) {
+        // Adaptive step (grows with distance — angular error budget).
         t = std::min(limit, t + std::max(0.35, t * 0.025));
         const Vec3 p = ray.at(t);
         if (climbing && p.y > escape)
             return std::nullopt;
-        if (p.y - heightAt(p.ground()) <= 0.0)
-            return bisect(t_prev, t);
+        if (t > skip_to) {
+            const double h = margin(p);
+            if (h <= 0.0) {
+                double lo = t_prev, hi = t;
+                for (int i = 0; i < 16; ++i) {
+                    const double mid = 0.5 * (lo + hi);
+                    if (margin(ray.at(mid)) <= 0.0)
+                        hi = mid;
+                    else
+                        lo = mid;
+                }
+                return hi;
+            }
+            if (skipping)
+                skip_to = t + (h - slack) / rate;
+        }
+        // No crossing up to this sample: a later root would bisect to
+        // hi > t > abortBeyond, which the caller has declared
+        // irrelevant (occluded by a closer hit).
         if (t > abortBeyond)
             return std::nullopt;
         t_prev = t;
-    }
-#ifdef COTERIE_SIMD_VECTOR_EXT
-    constexpr bool batched_march = true;
-#else
-    // Scalar-lane fallback build: heightAt4 has no SIMD payoff, and a
-    // batch always evaluates its full width — overshoot work the
-    // per-sample march below avoids. Same schedule, same results.
-    constexpr bool batched_march = false;
-#endif
-    if (!batched_march) {
-        while (t < limit) {
-            t = std::min(limit, t + std::max(0.35, t * 0.025));
-            const Vec3 p = ray.at(t);
-            if (climbing && p.y > escape)
-                return std::nullopt;
-            if (p.y - heightAt(p.ground()) <= 0.0)
-                return bisect(t_prev, t);
-            if (t > abortBeyond)
-                return std::nullopt;
-            t_prev = t;
-        }
-        return std::nullopt;
-    }
-    while (t < limit) {
-        // Next (up to) kLanes points of the reference schedule; the
-        // schedule is a pure function of t, so batching does not move
-        // any sample.
-        double ts[kLanes];
-        int n = 0;
-        while (n < kLanes && t < limit) {
-            t = std::min(limit, t + std::max(0.35, t * 0.025));
-            ts[n++] = t;
-        }
-        double px[kLanes], py[kLanes], pz[kLanes];
-        for (int k = 0; k < n; ++k) {
-            const Vec3 p = ray.at(ts[k]);
-            px[k] = p.x;
-            py[k] = p.y;
-            pz[k] = p.z;
-        }
-        for (int k = n; k < kLanes; ++k) { // pad idle lanes
-            px[k] = px[n - 1];
-            py[k] = py[n - 1];
-            pz[k] = pz[n - 1];
-        }
-        double height[kLanes];
-        heightAt4(params_, px, pz, height);
-        for (int k = 0; k < n; ++k) {
-            // Early escape: climbing above any possible terrain.
-            if (climbing && py[k] > escape)
-                return std::nullopt;
-            if (py[k] - height[k] <= 0.0)
-                return bisect(t_prev, ts[k]);
-            // No crossing up to this sample: a later root would
-            // bisect to hi > ts[k] > abortBeyond, which the caller
-            // has declared irrelevant (occluded by a closer hit).
-            if (ts[k] > abortBeyond)
-                return std::nullopt;
-            t_prev = ts[k];
-        }
     }
     return std::nullopt;
 }

@@ -59,12 +59,35 @@ class Terrain
     double foothold(geom::Vec2 p) const { return heightAt(p); }
 
     /**
+     * Per-axis slope (Lipschitz) bound of `heightAt`:
+     * |dH/dx|, |dH/dz| <= slopeBound() everywhere. Closed form from the
+     * noise construction: the quintic fade has slope <= 15/8, lattice
+     * corner deltas are < 2, each octave contributes amp * freq =
+     * 1/featureScale, and the octave sum is divided by its norm
+     * 2 - 2^(1 - octaves). 0 for flat floors.
+     */
+    double slopeBound() const { return slopeBound_; }
+
+    /**
      * March a ray against the heightfield; returns hit distance, or
-     * nullopt if the ray escapes. Step-marched with refinement; the
-     * noise evaluations run four schedule points at a time through the
-     * SIMD hash kernel, bit-identical to `intersectReference` (the
-     * integer hash core is exact and the FP glue stays scalar —
-     * tests/terrain_test.cc asserts equality).
+     * nullopt if the ray escapes. Walks a fixed step schedule
+     * (`max(0.35 m, 2.5% of t)`), then bisects the first bracket whose
+     * far end is at or below the ground. Bit-identical to
+     * `intersectReference` (tests/terrain_test.cc asserts it over
+     * randomized rays on every generator terrain).
+     *
+     * Schedule points that provably cannot be a crossing are not
+     * evaluated: after a sample with margin h = p.y - H above the
+     * ground, the margin can fall by at most
+     * `rate = slopeBound() * (|dir.x| + |dir.z|) - dir.y` per unit t,
+     * so every schedule point up to t + (h - slack) / rate is skipped.
+     * The slack covers the floating-point error of `heightAt` and
+     * `Ray::at` (DESIGN.md §10). Skipped points still advance the
+     * bracket start and still take the escape and @p abortBeyond exits,
+     * so the bisection bracket, and therefore the result, is the
+     * reference's. A ray whose margin can never fall (rate <= 0), that
+     * starts below any possible terrain, or that climbs from above it
+     * returns nullopt without marching.
      *
      * @p abortBeyond lets the renderer stop marching once the sample
      * distance exceeds a known closer object hit: the march aborts only
@@ -73,11 +96,15 @@ class Terrain
      * a root beyond that sample — i.e. beyond @p abortBeyond — so the
      * caller's object-vs-terrain resolution is unchanged. Infinity
      * (the default) reproduces the uncapped march exactly.
+     *
+     * When @p heightEvals is non-null, the number of `heightAt`
+     * evaluations this call made (start, march and bisection) is added
+     * to it.
      */
     std::optional<double>
     intersect(const geom::Ray &ray, double maxDist,
-              double abortBeyond =
-                  std::numeric_limits<double>::infinity()) const;
+              double abortBeyond = std::numeric_limits<double>::infinity(),
+              std::uint64_t *heightEvals = nullptr) const;
 
     /**
      * The seed per-sample scalar march, preserved verbatim as the
@@ -93,10 +120,15 @@ class Terrain
     double trianglesWithin(geom::Vec2 p, double radius) const;
 
   private:
+    /** `intersect`, counting its height evaluations into @p evals. */
+    std::optional<double> march(const geom::Ray &ray, double maxDist,
+                                double abortBeyond,
+                                std::uint64_t &evals) const;
     double noise2(double x, double y, std::uint64_t salt) const;
     double fractal(geom::Vec2 p) const;
 
     TerrainParams params_;
+    double slopeBound_ = 0.0;
 };
 
 } // namespace coterie::world

@@ -5,7 +5,8 @@
  * first-touch hammer run through the shared pool so TSan sees the
  * real contention pattern), timer shard-folding, scoped trace spans
  * (nesting and cross-thread interleaving), and a golden round-trip of
- * the exported Chrome trace_event document.
+ * the exported Chrome trace_event document, and the validity of every
+ * exported timer quantile after a real session run.
  */
 
 #include <gtest/gtest.h>
@@ -17,11 +18,14 @@
 #include <string>
 #include <vector>
 
+#include "core/session.hh"
 #include "obs/json.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
+#include "render/renderer.hh"
 #include "support/parallel.hh"
 #include "support/stats.hh"
+#include "world/gen/generators.hh"
 
 namespace coterie::obs {
 namespace {
@@ -563,6 +567,46 @@ TEST(MetricsRegistry, SnapshotJsonIsStableAcrossIdenticalRuns)
         return reg.snapshotJson().dump(2);
     };
     EXPECT_EQ(run(), run());
+}
+
+TEST(MetricsRegistry, SessionSnapshotQuantilesStayWithinMinMax)
+{
+    // Property over every timer a real multi-frame session run exports
+    // (plus the render stage timers): min <= p50 <= p99 <= p999 <= max.
+    // Log-bin interpolation alone can overshoot the observed range, so
+    // this pins the clamp in the export.
+    core::SessionParams params;
+    params.players = 2;
+    params.durationS = 3.0;
+    params.seed = 11;
+    const auto session =
+        core::Session::create(world::gen::GameId::Viking, params);
+    const auto result = session->runCoterieSystem();
+    ASSERT_FALSE(result.players.empty());
+    render::RenderOptions opts;
+    opts.stageTimers = true;
+    const render::Renderer renderer(session->world());
+    const geom::Vec3 eye =
+        session->world().eyePosition(session->world().bounds().center());
+    for (int frame = 0; frame < 3; ++frame)
+        renderer.renderPanorama(eye, 48, 24, opts);
+
+    const Json snap = MetricsRegistry::global().snapshotJson();
+    const auto &timers = snap.at("timers").members();
+    ASSERT_GE(timers.size(), 5u);
+    for (const auto &[name, t] : timers) {
+        if (t.at("count").asNumber() == 0)
+            continue;
+        const double min = t.at("min").asNumber();
+        const double p50 = t.at("p50").asNumber();
+        const double p99 = t.at("p99").asNumber();
+        const double p999 = t.at("p999").asNumber();
+        const double max = t.at("max").asNumber();
+        EXPECT_LE(min, p50) << name;
+        EXPECT_LE(p50, p99) << name;
+        EXPECT_LE(p99, p999) << name;
+        EXPECT_LE(p999, max) << name;
+    }
 }
 
 } // namespace

@@ -3,11 +3,12 @@
  * Tests for the software renderer: sky/terrain/object shading, the
  * near/far depth-layer decomposition invariant (near merged over far
  * equals the whole frame), chroma-key transparency, panorama cropping,
- * and texture determinism.
+ * texture determinism, and the stage timers' terrain evaluation count.
  */
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.hh"
 #include "render/renderer.hh"
 #include "world/gen/generators.hh"
 
@@ -263,6 +264,35 @@ TEST(Renderer, BatchedPathDeterministicAcrossThreadCounts)
     parallel.threads = 4;
     EXPECT_EQ(renderer.renderPanorama(eye, 64, 32, serial),
               renderer.renderPanorama(eye, 64, 32, parallel));
+}
+
+TEST(Renderer, StageTimersCountTerrainEvaluations)
+{
+    // With stage timers on, each frame publishes its terrain height
+    // evaluations once: the count is a property of the frame (same at
+    // any thread count), and counting leaves the pixels unchanged.
+    const world::VirtualWorld world =
+        world::gen::makeWorld(world::gen::GameId::Viking, 42);
+    const Renderer renderer(world);
+    const Vec3 eye = world.eyePosition(world.bounds().center());
+    obs::Counter &evals =
+        obs::MetricsRegistry::global().counter("render.stage.terrain_evals");
+    RenderOptions plain;
+    const Image expected = renderer.renderPanorama(eye, 64, 32, plain);
+    std::uint64_t counted[2] = {};
+    for (int i = 0; i < 2; ++i) {
+        RenderOptions timed;
+        timed.stageTimers = true;
+        timed.threads = i == 0 ? 1 : 4;
+        const std::uint64_t before = evals.value();
+        EXPECT_EQ(renderer.renderPanorama(eye, 64, 32, timed), expected);
+        counted[i] = evals.value() - before;
+    }
+    EXPECT_GT(counted[0], 0u);
+    EXPECT_EQ(counted[0], counted[1]);
+    const std::uint64_t before = evals.value();
+    renderer.renderPanorama(eye, 64, 32, plain);
+    EXPECT_EQ(evals.value(), before); // timers off: nothing published
 }
 
 TEST(Renderer, TextureAddsHighFrequencyDetail)
